@@ -3,6 +3,7 @@ module Store = Ode_storage.Store
 module Lock_manager = Ode_storage.Lock_manager
 module Disk_store = Ode_storage.Disk_store
 module Mem_store = Ode_storage.Mem_store
+module Logical_store = Ode_storage.Logical_store
 module Recovery = Ode_storage.Recovery
 module Wal = Ode_storage.Wal
 module Faults = Ode_storage.Faults
@@ -34,9 +35,21 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Ode_error msg)) fmt
 
 type store_kind = [ `Disk | `Mem ]
 
-type backend =
-  | Disk_backend of Disk_store.t * Disk_store.t
-  | Mem_backend of Mem_store.t * Mem_store.t
+(* What shapes a store beyond its log: fixed at [create] and carried by
+   the crash image, so [recover] rebuilds the store that crashed. *)
+type shape = {
+  kind : store_kind;
+  page_size : int option;
+  pool_capacity : int option;
+  io_spin : int option;
+  wal_segment_bytes : int option;
+  ckpt_full_every : int option;
+  auto_ckpt_bytes : int option;
+}
+
+let default_shape kind =
+  { kind; page_size = None; pool_capacity = None; io_spin = None; wal_segment_bytes = None;
+    ckpt_full_every = None; auto_ckpt_bytes = None }
 
 type monitor = {
   m_fsm : Ode_event.Fsm.t;
@@ -56,8 +69,8 @@ and vobj = {
 type obj_handle = Persistent of Oid.t | Volatile of vobj
 
 type t = {
-  kind : store_kind;
-  backend : backend;
+  shape : shape;
+  logical : Logical_store.t * Logical_store.t;  (* objects, triggers *)
   faults : Faults.t;
   mgr : Txn.mgr;
   obj_store : Store.t;
@@ -124,7 +137,7 @@ type trigger_spec = {
   tr_pure : bool;
 }
 
-let store_kind t = t.kind
+let store_kind t = t.shape.kind
 let faults t = t.faults
 let stores t = (t.obj_store, t.trig_store)
 let runtime t = t.rt
@@ -135,11 +148,48 @@ let intern t = t.intern
 (* ------------------------------------------------------------------ *)
 (* Construction. *)
 
-let assemble ?engine ?intern ~kind ~backend ~faults ~mgr ~obj_store ~trig_store ~db () =
+(* [shard] = (index, count): the object store only mints rids ≡ index
+   (mod count), so [oid mod count] names an object's home shard — the
+   {!Ode_parallel} partitioning rule. The trigger store's rids are
+   shard-local (never routed), so it stays unstrided. (0, 1) is exactly
+   the unsharded behaviour. *)
+let shard_params = function
+  | None -> (None, None)
+  | Some (index, count) -> (Some index, Some count)
+
+(* Build both stores — empty, or recovered from [wals] — and the
+   environment over them. The backend is chosen here and nowhere else. *)
+let assemble ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine ~shape ~wals
+    ~open_db () =
+  let mgr = Txn.create_mgr () in
+  (* One plane shared by both stores: every page write, WAL flush, eviction
+     and lock acquisition across the whole environment gets a single global
+     I/O-point number, so a fault plan addresses any of them. *)
+  let faults = match faults with Some f -> f | None -> Faults.create () in
+  let { kind; page_size; pool_capacity; io_spin; wal_segment_bytes; ckpt_full_every;
+        auto_ckpt_bytes } = shape in
+  let open_store ?rid_base ?rid_stride ~name wal_bytes =
+    let fresh () =
+      match kind with
+      | `Disk ->
+          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
+            ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
+            ?auto_ckpt_bytes ~mgr ~name ()
+      | `Mem ->
+          Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
+            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ()
+    in
+    match wal_bytes with None -> fresh () | Some wal_bytes -> Recovery.recover ~wal_bytes fresh
+  in
+  let rid_base, rid_stride = shard_params shard in
+  let objects = open_store ?rid_base ?rid_stride ~name:"objects" (Option.map fst wals) in
+  let triggers = open_store ~name:"triggers" (Option.map snd wals) in
+  let obj_store = Logical_store.ops objects and trig_store = Logical_store.ops triggers in
+  let db = open_db ~mgr ~store:obj_store ~name:"main" in
   let intern = match intern with Some i -> i | None -> Intern.create () in
   {
-    kind;
-    backend;
+    shape;
+    logical = (objects, triggers);
     faults;
     mgr;
     obj_store;
@@ -154,52 +204,15 @@ let assemble ?engine ?intern ~kind ~backend ~faults ~mgr ~obj_store ~trig_store 
     ckpt_deadline = None;
   }
 
-(* [shard] = (index, count): the object store only mints rids ≡ index
-   (mod count), so [oid mod count] names an object's home shard — the
-   {!Ode_parallel} partitioning rule. The trigger store's rids are
-   shard-local (never routed), so it stays unstrided. (0, 1) is exactly
-   the unsharded behaviour. *)
-let shard_params = function
-  | None -> (None, None)
-  | Some (index, count) -> (Some index, Some count)
-
 let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
     ?durability ?faults ?shard ?intern ?engine ?wal_segment_bytes ?ckpt_full_every
     ?auto_checkpoint_bytes () =
-  let mgr = Txn.create_mgr () in
-  (* One plane shared by both stores: every page write, WAL flush, eviction
-     and lock acquisition across the whole environment gets a single global
-     I/O-point number, so a fault plan addresses any of them. *)
-  let faults = match faults with Some f -> f | None -> Faults.create () in
-  let rid_base, rid_stride = shard_params shard in
-  let backend, obj_store, trig_store =
-    match store with
-    | `Disk ->
-        let objects =
-          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-            ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"objects" ()
-        in
-        let triggers =
-          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-            ?durability ~faults ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers" ()
-        in
-        (Disk_backend (objects, triggers), Disk_store.ops objects, Disk_store.ops triggers)
-    | `Mem ->
-        let objects =
-          Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"objects" ()
-        in
-        let triggers =
-          Mem_store.create ?flush_spin ?flush_sleep ?durability ?wal_segment_bytes
-            ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers" ()
-        in
-        (Mem_backend (objects, triggers), Mem_store.ops objects, Mem_store.ops triggers)
+  let shape =
+    { kind = store; page_size; pool_capacity; io_spin; wal_segment_bytes; ckpt_full_every;
+      auto_ckpt_bytes = auto_checkpoint_bytes }
   in
-  let db = Database.create ~mgr ~store:obj_store ~name:"main" in
-  assemble ?engine ?intern ~kind:store ~backend ~faults ~mgr ~obj_store ~trig_store ~db ()
+  assemble ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine ~shape ~wals:None
+    ~open_db:Database.create ()
 
 let durability t = Commit_pipeline.mode t.obj_store.Store.pipeline
 
@@ -1139,7 +1152,7 @@ end
 (* ------------------------------------------------------------------ *)
 (* Durability. *)
 
-type crash_image = { ci_kind : store_kind; ci_obj_wal : bytes; ci_trig_wal : bytes }
+type crash_image = { ci_shape : shape; ci_obj_wal : bytes; ci_trig_wal : bytes }
 
 (* Quiesce-then-checkpoint: with no uncommitted writes in flight the
    checkpoint runs immediately; otherwise it is deferred to the next
@@ -1169,14 +1182,10 @@ let checkpoint_pending t = t.ckpt_pending
 let crash t =
   let ci_obj_wal = Wal.durable_bytes t.obj_store.Store.wal in
   let ci_trig_wal = Wal.durable_bytes t.trig_store.Store.wal in
-  (match t.backend with
-  | Disk_backend (objects, triggers) ->
-      Disk_store.crash objects;
-      Disk_store.crash triggers
-  | Mem_backend (objects, triggers) ->
-      Mem_store.crash objects;
-      Mem_store.crash triggers);
-  { ci_kind = t.kind; ci_obj_wal; ci_trig_wal }
+  let objects, triggers = t.logical in
+  Logical_store.crash objects;
+  Logical_store.crash triggers;
+  { ci_shape = t.shape; ci_obj_wal; ci_trig_wal }
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 
@@ -1184,49 +1193,18 @@ let report_of_image image =
   let tail wal_bytes = Recovery.truncated_tail (Wal.decode_records wal_bytes) in
   { rr_obj_tail = tail image.ci_obj_wal; rr_trig_tail = tail image.ci_trig_wal }
 
-let recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
-    ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes image =
-  let mgr = Txn.create_mgr () in
-  let faults = match faults with Some f -> f | None -> Faults.create () in
-  let rid_base, rid_stride = shard_params shard in
-  let backend, obj_store, trig_store =
-    match image.ci_kind with
-    | `Disk ->
-        let objects =
-          Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults ?rid_base
-            ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"objects"
-            ~wal_bytes:image.ci_obj_wal ()
-        in
-        let triggers =
-          Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"triggers" ~wal_bytes:image.ci_trig_wal ()
-        in
-        (Disk_backend (objects, triggers), Disk_store.ops objects, Disk_store.ops triggers)
-    | `Mem ->
-        let objects =
-          Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"objects" ~wal_bytes:image.ci_obj_wal ()
-        in
-        let triggers =
-          Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?wal_segment_bytes
-            ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers"
-            ~wal_bytes:image.ci_trig_wal ()
-        in
-        (Mem_backend (objects, triggers), Mem_store.ops objects, Mem_store.ops triggers)
-  in
-  let db = Database.open_existing ~mgr ~store:obj_store ~name:"main" in
+let recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine image =
   let t =
-    assemble ?engine ?intern ~kind:image.ci_kind ~backend ~faults ~mgr ~obj_store ~trig_store
-      ~db ()
+    assemble ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
+      ~shape:image.ci_shape
+      ~wals:(Some (image.ci_obj_wal, image.ci_trig_wal))
+      ~open_db:Database.open_existing ()
   in
-  let txn = Txn.begin_txn ~system:true mgr in
+  let txn = Txn.begin_txn ~system:true t.mgr in
   (* A crash can land between the objects store's commit flush and the
      triggers store's (commit is per-participant, not atomic across
      stores): prune trigger activations whose object did not survive. *)
-  Runtime.rebuild_index ~object_exists:(fun oid -> Database.exists db txn oid) t.rt txn;
+  Runtime.rebuild_index ~object_exists:(fun oid -> Database.exists t.db txn oid) t.rt txn;
   Txn.commit txn;
   t
 
@@ -1237,7 +1215,10 @@ let recover_with_report ?flush_spin ?flush_sleep ?durability ?faults ?shard ?int
 
 let image_wals image = (image.ci_obj_wal, image.ci_trig_wal)
 
-let image_of_wals ~kind ~obj ~trig = { ci_kind = kind; ci_obj_wal = obj; ci_trig_wal = trig }
+(* A bare log pair carries no shape: it recovers with the default store
+   arguments. *)
+let image_of_wals ~kind ~obj ~trig =
+  { ci_shape = default_shape kind; ci_obj_wal = obj; ci_trig_wal = trig }
 
 let drain_phoenix t = Runtime.drain_phoenix t.rt
 

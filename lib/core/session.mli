@@ -442,9 +442,6 @@ val recover :
   ?shard:int * int ->
   ?intern:Ode_event.Intern.t ->
   ?engine:Ode_trigger.Runtime.config ->
-  ?wal_segment_bytes:int ->
-  ?ckpt_full_every:int ->
-  ?auto_checkpoint_bytes:int ->
   crash_image ->
   t
 (** Rebuild an environment from a crash image: recover both stores, reopen
@@ -453,7 +450,13 @@ val recover :
     survive (a crash between the two stores' commit flushes can orphan
     either side). Classes must be re-defined by the application before use
     — FSMs are recompiled each run, per §5.1.3. [faults] arms a fault
-    plane on the recovered environment (default: inert). *)
+    plane on the recovered environment (default: inert).
+
+    The stores are rebuilt with the shape the image recorded from
+    {!create}: store kind, [page_size], [pool_capacity], [io_spin],
+    [wal_segment_bytes], [ckpt_full_every] and [auto_checkpoint_bytes].
+    [shard] must repeat the crashed environment's; the durability
+    arguments apply afresh. *)
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 (** What {!recover} dropped, per store: the count of WAL records after
@@ -485,7 +488,9 @@ val image_wals : crash_image -> bytes * bytes
 val image_of_wals : kind:store_kind -> obj:bytes -> trig:bytes -> crash_image
 (** Assemble a crash image from raw durable WAL prefixes — how a replica's
     shipped log becomes a recoverable image at promotion
-    ({!Ode_replication}). Inverse of {!image_wals}. *)
+    ({!Ode_replication}). Inverse of {!image_wals}, except that the image
+    records no shape: it recovers with {!create}'s default store
+    arguments. *)
 
 val drain_phoenix : t -> unit
 (** Re-run any phoenix actions that survived a crash; call after classes

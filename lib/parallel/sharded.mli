@@ -158,17 +158,15 @@ val recover :
   ?durability:Ode_storage.Commit_pipeline.mode ->
   ?engine:Ode_trigger.Runtime.config ->
   ?mailbox_capacity:int ->
-  ?wal_segment_bytes:int ->
-  ?ckpt_full_every:int ->
-  ?auto_checkpoint_bytes:int ->
   mode:mode ->
   schema:(shard:int -> Session.t -> unit) ->
   fleet_image ->
   t
 (** Rebuild all K shards from a fleet image: each shard's stores are
-    recovered from its WAL prefixes with the same (i, K) striding, the
-    schema is replayed per shard (same intern handshake as {!create}),
-    and fresh worker domains are spawned. *)
+    recovered from its WAL prefixes with the same (i, K) striding and the
+    store shape its image recorded ({!Session.recover}), the schema is
+    replayed per shard (same intern handshake as {!create}), and fresh
+    worker domains are spawned. *)
 
 val recover_with_reports :
   ?flush_spin:int ->

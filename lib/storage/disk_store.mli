@@ -1,15 +1,19 @@
 (** EOS-like disk-based record store: slotted pages behind an LRU buffer
-    pool, logical WAL, per-transaction undo, strict 2PL record locking.
+    pool, fronted by a bloom filter, under the shared {!Logical_store}
+    (logical WAL, per-transaction undo, strict 2PL record locking, MVCC,
+    checkpoints).
 
     A record is addressed by a logical {!Rid.t}; the store keeps a directory
     from rid to (page, slot) so an update that no longer fits in place can
     relocate the record without changing its identity (the paper's persistent
-    pointers must stay valid). Durability is through the WAL: commit forces
-    the log; a crash discards the buffer pool and pages, and
-    {!Recovery.recover_disk} rebuilds the store from the last checkpoint plus
-    committed log suffix. *)
+    pointers must stay valid). The bloom filter is the logical layer's
+    presence filter: a read of a rid it rules out takes no lock and no page
+    read. Durability is through the WAL: commit forces the log; a crash
+    discards the buffer pool and pages, and {!Recovery.recover_disk}
+    rebuilds the store from the last checkpoint plus committed log
+    suffix. *)
 
-type t
+type t = Logical_store.t
 
 val create :
   ?page_size:int ->
@@ -58,27 +62,6 @@ val create :
 val ops : t -> Store.t
 (** The uniform interface used by everything above the storage layer. *)
 
-val load_bulk : t -> (Rid.t * bytes) list -> unit
-(** Physically install records, bypassing transactions, locking and
-    logging. Recovery-only; raises [Store_error] if the store is not
-    empty. *)
-
-val anchor_from : t -> (Rid.t * bytes) list -> unit
-(** Write a full anchor checkpoint whose payload is [entries] verbatim
-    (sorted by rid), with the usual anchor bookkeeping: WAL retirement
-    below the record and a bloom rebuild. Recovery pairs this with
-    {!load_bulk} — the entries are the state just loaded, so logging them
-    directly skips the per-record page re-read a regular full checkpoint
-    performs. *)
-
-val flush_pages : t -> unit
-(** Write back all dirty frames (clean shutdown). *)
-
 val crash : t -> unit
 (** Simulate a crash: drop all buffered frames and refuse further use. The
     WAL's durable prefix survives; retrieve it with [(ops t).wal]. *)
-
-val page_count : t -> int
-val pager_stats : t -> Pager.stats
-val pool_stats : t -> Buffer_pool.stats
-val faults : t -> Faults.t

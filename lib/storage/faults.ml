@@ -88,7 +88,12 @@ let check t site =
   let pt = t.point in
   if t.crashed then raise (Injected_crash { point = pt; site });
   let nth = t.counts.(i) in
-  match List.find_opt (matches ~site ~pt ~nth) t.rules with
+  (* An inert plane (every store without a plan, at every record lock)
+     skips the rule scan and its closure. *)
+  let rule =
+    match t.rules with [] -> None | rules -> List.find_opt (matches ~site ~pt ~nth) rules
+  in
+  match rule with
   | None -> `Proceed
   | Some rule ->
       t.fired_rev <- (pt, site, rule.act) :: t.fired_rev;

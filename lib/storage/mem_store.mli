@@ -1,13 +1,13 @@
 (** Dali-like main-memory record store.
 
     Records live in a hash table; there is no pager or buffer pool, so the
-    read path is a single probe — the point of MM-Ode. Durability and
-    transaction semantics are identical to the disk store: the same WAL
-    format, the same per-transaction undo, the same strict 2PL record
-    locking, so the two backends are interchangeable behind {!Store.t}
-    (experiment T7 measures the difference). *)
+    read path is a single probe — the point of MM-Ode. Everything above the
+    record table is the {!Logical_store} the disk store also runs on: the
+    same WAL format, per-transaction undo, strict 2PL record locking, MVCC
+    and checkpoint chain, so the two backends are interchangeable behind
+    {!Store.t} (experiment T7 measures the difference). *)
 
-type t
+type t = Logical_store.t
 
 val create :
   ?flush_spin:int ->
@@ -32,17 +32,7 @@ val create :
     [0 <= rid_base < rid_stride]. [wal_segment_bytes], [ckpt_full_every]
     and [auto_ckpt_bytes] are the capacity knobs, as in
     {!Disk_store.create} (no bloom: the record table is its own O(1)
-    membership probe). *)
+    membership probe). There is no [faults] argument: the store's lock
+    points and WAL consult a private inert plane. *)
 
 val ops : t -> Store.t
-
-val load_bulk : t -> (Rid.t * bytes) list -> unit
-(** Physically install records (recovery only; store must be empty). *)
-
-val anchor_from : t -> (Rid.t * bytes) list -> unit
-(** Write a full anchor checkpoint from the just-loaded entries without
-    re-reading them; see {!Disk_store.anchor_from}. *)
-
-val crash : t -> unit
-(** Simulate a crash: in-memory contents are lost; only the WAL's durable
-    prefix survives. *)

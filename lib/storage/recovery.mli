@@ -32,6 +32,15 @@ val truncated_tail : Wal.record list -> int
     counts as a boundary: truncating a durable Abort would resurrect the
     Commit it cancels (last-marker-wins). *)
 
+val recover : wal_bytes:bytes -> (unit -> Logical_store.t) -> Logical_store.t
+(** [recover ~wal_bytes fresh] builds a store with [fresh] and loads into
+    it exactly the committed state of the given durable log bytes; the new
+    store's own WAL begins with a full checkpoint of that state. [fresh]
+    picks the backend and must return an empty store shaped like the
+    crashed one: its [rid_base]/[rid_stride] keep post-recovery
+    allocations in the crashed store's residue class, and its page size,
+    pool and capacity knobs are what the recovered store runs with. *)
+
 val recover_disk :
   ?page_size:int ->
   ?pool_capacity:int ->
@@ -52,15 +61,7 @@ val recover_disk :
   wal_bytes:bytes ->
   unit ->
   Disk_store.t
-(** Build a fresh disk store holding exactly the committed state of the
-    given durable log bytes. The new store's own WAL begins with a
-    checkpoint of the recovered state. [durability] configures the
-    recovered store's commit pipeline (default [Immediate]);
-    [rid_base]/[rid_stride] must repeat the crashed store's shard
-    partitioning so post-recovery allocations stay in its residue class
-    (see {!Disk_store.create}). The capacity knobs
-    ([wal_segment_bytes], [ckpt_full_every], [auto_ckpt_bytes], bloom
-    parameters) should likewise repeat the crashed store's settings. *)
+(** {!recover} into a {!Disk_store.create} with these arguments. *)
 
 val recover_mem :
   ?flush_spin:int ->
@@ -76,3 +77,4 @@ val recover_mem :
   wal_bytes:bytes ->
   unit ->
   Mem_store.t
+(** {!recover} into a {!Mem_store.create} with these arguments. *)

@@ -24,12 +24,22 @@ let random_payload prng =
 
 (* One randomized run: [rounds] transactions of random insert / update /
    delete / read ops mirrored on both stores, each randomly committed or
-   aborted; visible state compared after every transaction. *)
-let differential_run ~page_size ~pool_capacity seed rounds =
+   aborted; visible state compared after every transaction. By default a
+   transaction aborts with probability 0.3 and a checkpoint follows it with
+   probability 0.1; [ckpt_every] checkpoints after every that many
+   transactions instead, and the capacity knobs shape both stores alike.
+   Afterwards both WALs must be byte-identical and every counter both
+   stores report must agree: the two backends share one logical layer. *)
+let differential_run ?(abort_rate = 0.3) ?ckpt_every ?wal_segment_bytes ?ckpt_full_every
+    ~page_size ~pool_capacity seed rounds =
   let mgr = Txn.create_mgr () in
-  let mem = Mem_store.ops (Mem_store.create ~mgr ~name:"mem" ()) in
+  let mem =
+    Mem_store.ops (Mem_store.create ?wal_segment_bytes ?ckpt_full_every ~mgr ~name:"mem" ())
+  in
   let disk =
-    Disk_store.ops (Disk_store.create ~page_size ~pool_capacity ~mgr ~name:"disk" ())
+    Disk_store.ops
+      (Disk_store.create ?wal_segment_bytes ?ckpt_full_every ~page_size ~pool_capacity ~mgr
+         ~name:"disk" ())
   in
   let prng = Prng.create ~seed:(Int64.of_int seed) in
   let live = ref [] in  (* rids present in committed state, newest first *)
@@ -79,7 +89,7 @@ let differential_run ~page_size ~pool_capacity seed rounds =
               if a <> b then Alcotest.failf "round %d: read disagrees on %a" round Rid.pp rid
         end
     done;
-    if Prng.chance prng 0.3 then Txn.abort txn
+    if Prng.chance prng abort_rate then Txn.abort txn
     else begin
       Txn.commit txn;
       live := !txn_live
@@ -92,7 +102,10 @@ let differential_run ~page_size ~pool_capacity seed rounds =
     if mem_state <> disk_state then
       Alcotest.failf "round %d: visible state diverged (%d vs %d records)" round
         (List.length mem_state) (List.length disk_state);
-    if Prng.chance prng 0.1 then begin
+    let ckpt_due =
+      match ckpt_every with Some n -> round mod n = 0 | None -> Prng.chance prng 0.1
+    in
+    if ckpt_due then begin
       mem.Store.checkpoint ();
       disk.Store.checkpoint ()
     end
@@ -110,7 +123,16 @@ let differential_run ~page_size ~pool_capacity seed rounds =
   let final = dump mem probe in
   Txn.commit probe;
   Alcotest.(check bool) "workload left data behind" true (List.length final > 0);
-  Alcotest.(check (list (pair int string))) "durable state matches visible state" final from_mem
+  Alcotest.(check (list (pair int string))) "durable state matches visible state" final from_mem;
+  if not (Bytes.equal (Wal.durable_bytes mem.Store.wal) (Wal.durable_bytes disk.Store.wal)) then
+    Alcotest.fail "mem and disk WALs differ";
+  let disk_counters = disk.Store.counters () in
+  List.iter
+    (fun (key, v) ->
+      match List.assoc_opt key disk_counters with
+      | Some w when w <> v -> Alcotest.failf "counter %s: mem %d, disk %d" key v w
+      | _ -> ())
+    (mem.Store.counters ())
 
 let mirrored () =
   Seeds.with_seed "differential.mirrored" (fun seed ->
@@ -122,8 +144,17 @@ let mirrored_tiny_pages () =
   Seeds.with_seed "differential.tiny" (fun seed ->
       differential_run ~page_size:128 ~pool_capacity:1 (seed + 1) 60)
 
+let mirrored_chained () =
+  (* Aborts, a checkpoint every 37 transactions, 512-byte WAL segments
+     and a full anchor every third checkpoint: segment sealing and
+     retirement and the delta chain must run identically on both. *)
+  Seeds.with_seed "differential.chained" (fun seed ->
+      differential_run ~abort_rate:0.25 ~ckpt_every:37 ~wal_segment_bytes:512 ~ckpt_full_every:3
+        ~page_size:4096 ~pool_capacity:64 (seed + 2) 300)
+
 let suite =
   [
     Alcotest.test_case "mem/disk mirrored workload" `Quick mirrored;
     Alcotest.test_case "mem/disk mirrored (tiny pages)" `Quick mirrored_tiny_pages;
+    Alcotest.test_case "mem/disk mirrored (segments, delta chain)" `Quick mirrored_chained;
   ]

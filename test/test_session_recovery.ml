@@ -178,6 +178,32 @@ let recover_twice kind () =
       Alcotest.(check (float 1e-9)) "still there after two crashes" 10.0
         (Credit_card.limit env txn card))
 
+(* Recovery rebuilds the store that crashed, not a default-shaped one:
+   page size, segment rotation and the checkpoint chain carry over from
+   [Session.create] through the crash image. *)
+let recovered_store_keeps_shape () =
+  let env =
+    Session.create ~store:`Disk ~page_size:512 ~wal_segment_bytes:4096 ~ckpt_full_every:3 ()
+  in
+  Credit_card.define_all env;
+  for i = 1 to 300 do
+    Session.with_txn env (fun txn ->
+        ignore (Credit_card.new_customer env txn ~name:(Printf.sprintf "c%d" i)))
+  done;
+  let counter env k = List.assoc ("objects." ^ k) (Session.counters env) in
+  let pages = counter env "pages" in
+  Alcotest.(check bool) "512-byte pages spread the objects" true (pages > 6);
+  let env = Session.recover (Session.crash env) in
+  Credit_card.define_all env;
+  Alcotest.(check int) "same object pages after recovery" pages (counter env "pages");
+  for i = 1 to 100 do
+    Session.with_txn env (fun txn ->
+        ignore (Credit_card.new_customer env txn ~name:(Printf.sprintf "d%d" i)))
+  done;
+  Alcotest.(check bool) "segment rotation continues" true (counter env "segments_sealed" > 0);
+  Session.checkpoint env;
+  Alcotest.(check int) "checkpoint chain continues with a delta" 1 (counter env "ckpt_deltas")
+
 let both_kinds name f =
   [
     Alcotest.test_case (name ^ " (mem)") `Quick (f `Mem);
@@ -192,4 +218,5 @@ let suite =
       both_kinds "unflushed work lost" unflushed_work_is_lost;
       both_kinds "phoenix queue survives crash" phoenix_survives_crash;
       both_kinds "double crash" recover_twice;
+      [ Alcotest.test_case "recovered store keeps its shape" `Quick recovered_store_keeps_shape ];
     ]
